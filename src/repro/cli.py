@@ -38,7 +38,7 @@ if TYPE_CHECKING:  # annotation-only: commands lazy-import the heavy layers
     from .experiments import ScenarioSpec, SweepResult
 
 from .datasets import BENCHMARK_NAMES, dataset_spec, generate, table3_rows
-from .gbdt import TrainParams, train, train_level_wise
+from .gbdt import TrainParams, train
 from .serving.params import ARRIVAL_KINDS, POLICIES, QUEUE_DISCIPLINES
 from .sim.artifacts import ARTIFACTS, build
 from .sim.executor import Executor
@@ -228,9 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_train.add_argument("dataset", choices=BENCHMARK_NAMES)
     p_train.add_argument("--records", type=int, default=None, help="override record count")
-    p_train.add_argument(
-        "--level-wise", action="store_true", help="grow trees level by level (Sec. II-A)"
-    )
 
     p_cmp = sub.add_parser(
         "compare", parents=[common], help="compare hardware models on one benchmark"
@@ -465,8 +462,8 @@ def build_parser() -> argparse.ArgumentParser:
         "bench",
         help="run the recorded performance benchmark (vectorized vs reference)",
         description="Time the vectorized hot paths against their scalar "
-        "reference implementations on a fixed scenario grid (level-wise "
-        "GBDT fits, the level-core partition+binning microbench, and DRAM "
+        "reference implementations on a fixed scenario grid (GBDT "
+        "fits, the level-core partition+binning microbench, and DRAM "
         "FR-FCFS traces) and write a schema-versioned JSON document.  Each "
         "perf PR commits its document as BENCH_<n>.json, growing a "
         "measured speedup trajectory alongside the code; see "
@@ -572,11 +569,9 @@ def _cmd_datasets(args: argparse.Namespace) -> int:
 def _cmd_train(args: argparse.Namespace) -> int:
     spec = dataset_spec(args.dataset, n_records=args.records, seed=args.seed)
     data = generate(spec)
-    fit = train_level_wise if args.level_wise else train
-    result = fit(data, TrainParams(n_trees=args.trees))
+    result = train(data, TrainParams(n_trees=args.trees))
     summary = result.profile.summary()
     rows = [[k, v] for k, v in summary.items()]
-    rows.append(["growth", result.profile.growth])
     rows.append(["final loss", f"{result.losses[-1]:.5f}"])
     rows.append(["wall seconds", f"{result.profile.train_seconds_wall:.2f}"])
     print(render_table(["quantity", "value"], rows, title=f"training summary: {args.dataset}"))

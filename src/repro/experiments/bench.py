@@ -5,17 +5,17 @@ emitted ``BENCH_<n>.json``, so the repository accumulates a *trajectory* of
 measured speedups alongside the code.  One bench document records, for a
 fixed scenario grid:
 
-* **gbdt_fit** cells -- full ``train_level_wise`` fits, vectorized vs the
+* **gbdt_fit** cells -- full ``train`` fits, vectorized vs the
   scalar reference path, timed through the existing ``train_seconds_wall``
   plumbing.  These are the honest end-to-end numbers: the reference path's
   inner loops (binning, gain math) are already NumPy-vectorized and shared,
   so full-fit ratios hover near 1x.
-* **gbdt_level_core** cells -- the level-wise hot core in isolation: the
-  widest level state of a reference fit is captured (preferring a level
-  that still bins children, so the cell exercises partition AND grouped
-  binning), and :meth:`~repro.gbdt.levelwise.LevelWiseTrainer.
-  _partition_level_reference` races :meth:`~repro.gbdt.levelwise.
-  LevelWiseTrainer._partition_level_vectorized` on identical inputs.  This
+* **gbdt_level_core** cells -- the trainer's per-level hot core in
+  isolation: the widest level state of a reference fit is captured
+  (preferring a level that still bins children, so the cell exercises
+  partition AND grouped binning), and :meth:`~repro.gbdt.trainer.
+  GBDTTrainer._partition_level_reference` races :meth:`~repro.gbdt.trainer.
+  GBDTTrainer._partition_level_vectorized` on identical inputs.  This
   is where the per-vertex ``nonzero`` scans and per-vertex ``build`` calls
   were replaced, and where the order-of-magnitude speedup lives.
 * **dram_trace** cells -- :meth:`~repro.memory.dram.ChannelSim.run` vs
@@ -42,8 +42,8 @@ from typing import Callable
 import numpy as np
 
 from ..datasets import dataset_spec, generate
-from ..gbdt import TrainParams, train_level_wise
-from ..gbdt.levelwise import LevelWiseTrainer
+from ..gbdt import GBDTTrainer, TrainParams, train
+from ..gbdt.trainer import _LevelHistograms
 from ..memory.dram import DRAMSimulator
 from ..serving.stats import percentile, percentile_label
 from .cache import sim_fingerprint
@@ -138,9 +138,9 @@ def _gbdt_fit_cell(
     vec_durations, ref_durations = [], []
     vec_result = ref_result = None
     for _ in range(repeats):
-        vec_result = train_level_wise(data, params, vectorized=True)
+        vec_result = train(data, params, vectorized=True)
         vec_durations.append(float(vec_result.profile.train_seconds_wall))
-        ref_result = train_level_wise(data, params, vectorized=False)
+        ref_result = train(data, params, vectorized=False)
         ref_durations.append(float(ref_result.profile.train_seconds_wall))
     assert vec_result is not None and ref_result is not None
     cell = _cell(
@@ -154,7 +154,7 @@ def _gbdt_fit_cell(
     return cell
 
 
-def _capture_widest_level(trainer: LevelWiseTrainer) -> dict:
+def _capture_widest_level(trainer: GBDTTrainer) -> dict:
     """Run one reference fit, capturing the inputs of its widest level.
 
     The widest level (most splitting vertices) is where the reference
@@ -208,7 +208,7 @@ def _gbdt_level_core_cell(
     """Time the captured widest level: reference vs vectorized hot core."""
     spec = dataset_spec(dataset, n_records=n_records, seed=seed)
     data = generate(spec)
-    trainer = LevelWiseTrainer(data, TrainParams(n_trees=1, max_depth=depth), vectorized=False)
+    trainer = GBDTTrainer(data, TrainParams(n_trees=1, max_depth=depth), vectorized=False)
     cap = _capture_widest_level(trainer)
 
     live, splits = cap["live"], cap["splits"]
@@ -216,15 +216,12 @@ def _gbdt_level_core_cell(
     n_live = len(live)
     split_vids = sorted(splits)
     decisions = [splits[v] for v in split_vids]
-    n_bins = trainer.builder.n_bins
-    hist_c = np.zeros((n_live, n_bins))
-    hist_g = np.zeros((n_live, n_bins))
-    hist_h = np.zeros((n_live, n_bins))
+    mats = np.zeros((3, n_live, trainer.builder.n_bins))
+    has_hist = np.zeros(n_live, dtype=bool)
     for vid, node in live.items():
         if node.hist is not None:
-            hist_c[vid] = node.hist.count
-            hist_g[vid] = node.hist.grad
-            hist_h[vid] = node.hist.hess
+            mats[:, vid] = node.hist.count, node.hist.grad, node.hist.hess
+            has_hist[vid] = True
 
     ref_durations, vec_durations = [], []
     ref_out = vec_out = None
@@ -232,9 +229,12 @@ def _gbdt_level_core_cell(
         t0 = time.perf_counter()
         ref_out = trainer._partition_level_reference(live, splits, vor, g, h, lvl_depth)
         ref_durations.append(time.perf_counter() - t0)
+        # The vectorized partition overwrites its input rows: replay a copy.
+        level = mats.copy()
+        hists = _LevelHistograms.stacked(level[0], level[1], level[2], has_hist)
         t0 = time.perf_counter()
         vec_out = trainer._partition_level_vectorized(
-            n_live, split_vids, decisions, vor, hist_c, hist_g, hist_h, g, h, lvl_depth
+            n_live, split_vids, decisions, vor, hists, g, h, lvl_depth
         )
         vec_durations.append(time.perf_counter() - t0)
     assert ref_out is not None and vec_out is not None

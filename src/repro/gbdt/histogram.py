@@ -17,8 +17,7 @@ Two vectorization layers keep step 1 out of interpreted Python:
   re-materialized on every ``build`` call;
 * :meth:`HistogramBuilder.build_grouped` bins the records of *many* vertices
   in one ``np.bincount`` over a composite ``vertex x global-bin`` key --
-  the level-wise trainer's whole-level pass and the vertex-by-vertex
-  trainer's sibling builds both run through this core (``build`` is the
+  the trainer's whole-level pass runs through this core (``build`` is the
   single-group special case).  When the composite bin space exceeds
   :data:`GROUPED_FALLBACK_CELLS` the accumulation arrays no longer fit in
   cache and the builder falls back to bit-identical per-group bincounts.
@@ -27,7 +26,7 @@ Bit-exactness note: ``np.bincount`` accumulates weights in input order, and
 the grouped composite key keeps each (group, bin) cell's updates in the same
 record order a per-group ``build`` call would use, so grouped and per-group
 histograms are identical to the last ulp -- which is what lets the grouped
-trainers produce byte-identical models (property-tested).
+trainer's twins produce byte-identical models (property-tested).
 """
 
 from __future__ import annotations
@@ -177,8 +176,8 @@ class HistogramBuilder:
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """:meth:`build_grouped` returning the raw ``(n_groups, n_bins)``
         count/grad/hess matrices (no per-group :class:`Histogram` objects) --
-        the form the level-wise trainer consumes, where sibling histograms
-        are derived with one whole-matrix subtraction."""
+        the form the trainer's vectorized path consumes, where sibling
+        histograms are derived by subtracting these rows from the parents'."""
         if n_groups < 0:
             raise ValueError("n_groups must be non-negative")
         if index.shape != group_of.shape:

@@ -118,8 +118,11 @@ class WorkProfile:
     #: Per-bin access counts measured at the root of the first tree; drives
     #: the CPU cache model (skewed data concentrates updates in few hot bins).
     root_bin_counts: np.ndarray | None = None
-    #: Growth configuration: "vertex" (vertex-by-vertex, the paper's default
-    #: assumption) or "level" (level-by-level with per-vertex histograms).
+    #: Growth schedule the hardware models price: "vertex" (vertex-by-vertex,
+    #: the paper's default assumption) or "level" (level-by-level with
+    #: per-vertex histograms).  Both schedules build the same model, so this
+    #: is a label: training always emits "vertex"; relabel a profile with
+    #: ``dataclasses.replace(profile, growth="level")`` to price the other.
     growth: str = "vertex"
 
     @property

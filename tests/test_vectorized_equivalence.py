@@ -19,11 +19,11 @@ from hypothesis import strategies as st
 
 from repro.datasets import generate
 from repro.datasets.layout import RecordLayout
-from repro.gbdt import TrainParams, train_level_wise
+from repro.gbdt import GBDTTrainer, TrainParams, train
 from repro.gbdt import split as split_mod
 from repro.gbdt.histogram import HistogramBuilder
-from repro.gbdt.levelwise import LevelWiseTrainer
 from repro.gbdt.split import SplitSearcher
+from repro.gbdt.trainer import _LevelHistograms
 from repro.memory import DRAMConfig, DRAMSimulator
 from repro.memory.dram import ChannelSim
 from tests.conftest import small_spec_factory
@@ -137,7 +137,7 @@ class TestBestSplitMany:
         assert decision == searcher.best_split(hists[0], g_tot[0], h_tot[0], c_tot[0])
 
 
-def _capture_all_levels(trainer: LevelWiseTrainer) -> list[dict]:
+def _capture_all_levels(trainer: GBDTTrainer) -> list[dict]:
     """Run one reference fit, capturing every level-partition call's inputs."""
     captured: list[dict] = []
     orig = trainer._partition_level_reference
@@ -163,12 +163,24 @@ def _capture_all_levels(trainer: LevelWiseTrainer) -> list[dict]:
     return captured
 
 
+def _stacked_histograms(trainer: GBDTTrainer, live: dict) -> _LevelHistograms:
+    """The reference level's histograms as the vectorized path stores them."""
+    n_live, n_bins = len(live), trainer.builder.n_bins
+    mats = np.zeros((3, n_live, n_bins))
+    has_hist = np.zeros(n_live, dtype=bool)
+    for vid, node in live.items():
+        if node.hist is not None:
+            mats[:, vid] = node.hist.count, node.hist.grad, node.hist.hess
+            has_hist[vid] = True
+    return _LevelHistograms.stacked(mats[0], mats[1], mats[2], has_hist)
+
+
 class TestLevelPartition:
     """One-pass partition == per-vertex reference on real captured levels."""
 
     @pytest.fixture(scope="class")
     def levels(self, data):
-        trainer = LevelWiseTrainer(
+        trainer = GBDTTrainer(
             data, TrainParams(n_trees=2, max_depth=5), vectorized=False
         )
         captured = _capture_all_levels(trainer)
@@ -188,15 +200,7 @@ class TestLevelPartition:
             n_live = len(live)
             split_vids = sorted(splits)
             decisions = [splits[v] for v in split_vids]
-            n_bins = trainer.builder.n_bins
-            hist_c = np.zeros((n_live, n_bins))
-            hist_g = np.zeros((n_live, n_bins))
-            hist_h = np.zeros((n_live, n_bins))
-            for vid, node in live.items():
-                if node.hist is not None:
-                    hist_c[vid] = node.hist.count
-                    hist_g[vid] = node.hist.grad
-                    hist_h[vid] = node.hist.hess
+            hists = _stacked_histograms(trainer, live)
 
             next_live, _parent_of, ref_assignment, ref_fracs = (
                 trainer._partition_level_reference(live, splits, vor, g, h, depth)
@@ -209,12 +213,9 @@ class TestLevelPartition:
                 c_tot,
                 n_reach,
                 binned,
-                out_c,
-                out_g,
-                out_h,
-                has_hist,
+                out,
             ) = trainer._partition_level_vectorized(
-                n_live, split_vids, decisions, vor, hist_c, hist_g, hist_h, g, h, depth
+                n_live, split_vids, decisions, vor, hists, g, h, depth
             )
 
             assert np.array_equal(ref_assignment, vec_assignment)
@@ -225,12 +226,14 @@ class TestLevelPartition:
                 assert h_tot[vid] == node.h_tot
                 assert c_tot[vid] == node.c_tot
                 assert n_reach[vid] == node.n_reach
-                assert has_hist[vid] == (node.hist is not None)
+                assert (out.block[vid] >= 0) == (node.hist is not None)
                 assert binned[vid] == node.binned_here
                 if node.hist is not None:
-                    assert np.array_equal(out_c[vid], node.hist.count)
-                    assert np.array_equal(out_g[vid], node.hist.grad)
-                    assert np.array_equal(out_h[vid], node.hist.hess)
+                    out_c, out_g, out_h = out.blocks[int(out.block[vid])]
+                    row = out.row[vid]
+                    assert np.array_equal(out_c[row], node.hist.count)
+                    assert np.array_equal(out_g[row], node.hist.grad)
+                    assert np.array_equal(out_h[row], node.hist.hess)
 
 
 class TestChannelSimEquivalence:
@@ -294,8 +297,8 @@ class TestTrainerGrid:
     def test_vectorized_reference_identity(self, n_records, trees, depth):
         data = generate(small_spec_factory(n_records=n_records, seed=n_records))
         params = TrainParams(n_trees=trees, max_depth=depth)
-        vec = train_level_wise(data, params, vectorized=True)
-        ref = train_level_wise(data, params, vectorized=False)
+        vec = train(data, params, vectorized=True)
+        ref = train(data, params, vectorized=False)
         assert np.array_equal(vec.losses, ref.losses)
         for tv, tr in zip(vec.trees, ref.trees):
             assert np.array_equal(tv.field, tr.field)
@@ -322,10 +325,10 @@ class TestGrowTreeEquivalence:
     def test_single_tree_identity(self, data):
         params = TrainParams(n_trees=1, max_depth=5)
         g, h = _random_stats(data.n_records, 17)
-        vec_tree, vec_work, vec_fracs, vec_counts = LevelWiseTrainer(
+        vec_tree, vec_work, vec_fracs, vec_counts = GBDTTrainer(
             data, params, vectorized=True
         )._grow_tree_vectorized(g, h)
-        ref_tree, ref_work, ref_fracs, ref_counts = LevelWiseTrainer(
+        ref_tree, ref_work, ref_fracs, ref_counts = GBDTTrainer(
             data, params, vectorized=False
         )._grow_tree_reference(g, h)
         assert np.array_equal(vec_tree.field, ref_tree.field)
@@ -347,8 +350,8 @@ class TestGrowTreeEquivalence:
         """``_grow_tree`` routes by the ``vectorized`` flag; both routes agree."""
         params = TrainParams(n_trees=1, max_depth=4)
         g, h = _random_stats(data.n_records, 23)
-        vec_tree, _, _, _ = LevelWiseTrainer(data, params, vectorized=True)._grow_tree(g, h)
-        ref_tree, _, _, _ = LevelWiseTrainer(data, params, vectorized=False)._grow_tree(g, h)
+        vec_tree, _, _, _ = GBDTTrainer(data, params, vectorized=True)._grow_tree(g, h)
+        ref_tree, _, _, _ = GBDTTrainer(data, params, vectorized=False)._grow_tree(g, h)
         assert np.array_equal(vec_tree.weight, ref_tree.weight)
         assert np.array_equal(vec_tree.field, ref_tree.field)
 
@@ -364,7 +367,7 @@ class TestWorkProfileAggregation:
     @pytest.fixture(scope="class")
     def profile(self):
         data = generate(small_spec_factory(n_records=500, seed=9))
-        return train_level_wise(data, TrainParams(n_trees=3, max_depth=4)).profile
+        return train(data, TrainParams(n_trees=3, max_depth=4)).profile
 
     @pytest.fixture(scope="class")
     def layout(self, profile):
